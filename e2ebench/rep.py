@@ -32,6 +32,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 clock = time.monotonic
+cpu_clock = time.process_time
+
+#: Progress marks per lane: the segments ``run.py`` takes minima over.
+SEGMENTS = 64
+
+
+def mark_every(items: int) -> int:
+    """Items between two progress marks of a lane of ``items`` items."""
+    return max(1, -(-items // SEGMENTS))
 
 
 def parse_args(argv=None):
@@ -50,18 +59,21 @@ def parse_args(argv=None):
 class CountingSink(io.TextIOBase):
     """The output sink: counts rows and bytes, keeps a CRC of the text.
 
-    Rows arrive in flow-datagram order, so the running row count tells
-    which datagrams are complete; each completed datagram's latency is
-    the time now minus its entry in ``due`` (when it was due to be sent
-    for ``live-paced``, when the replay source handed it to the engine
-    otherwise).
+    Every ``every`` rows it appends a progress mark, ``(wall, cpu)``, to
+    ``marks``. With ``due`` (``live-paced`` only) it also times each flow
+    datagram: rows arrive in flow-datagram order, so the running row
+    count tells which datagrams are complete, and a completed datagram's
+    latency is the time now minus when it was due to be sent.
     """
 
-    def __init__(self, datagram_flows, due, recorder=None):
+    def __init__(self, marks, every, recorder=None, datagram_flows=(), due=None):
         self.rows = 0
         self.bytes = 0
         self.crc = 0
         self.last_write = None
+        self.marks = marks
+        self._every = every
+        self._next_mark = every
         self.due = due
         self.latencies = []
         self._ends = []
@@ -89,15 +101,19 @@ class CountingSink(io.TextIOBase):
         self.bytes += len(text)
         self.crc = zlib.crc32(text.encode(), self.crc)
         self.last_write = now
-        ends = self._ends
-        due = self.due
-        latencies = self.latencies
-        i = self._next
         rows = self.rows
-        while i < len(ends) and ends[i] <= rows:
-            latencies.append(now - due[i])
-            i += 1
-        self._next = i
+        while rows >= self._next_mark:
+            self.marks.append((now, cpu_clock()))
+            self._next_mark += self._every
+        if self.due is not None:
+            ends = self._ends
+            due = self.due
+            latencies = self.latencies
+            i = self._next
+            while i < len(ends) and ends[i] <= rows:
+                latencies.append(now - due[i])
+                i += 1
+            self._next = i
         self.check(text)
         return len(text)
 
@@ -130,8 +146,8 @@ class VerifyingSink(CountingSink):
     then any number of CNAME records backwards.
     """
 
-    def __init__(self, datagram_flows, due, reference):
-        super().__init__(datagram_flows, due)
+    def __init__(self, reference, marks, every, **kwargs):
+        super().__init__(marks, every, **kwargs)
         self.a_owners = reference["a_owners"]
         self.cname_rev = reference["cname_rev"]
         self._valid = {}
@@ -172,36 +188,46 @@ class VerifyingSink(CountingSink):
                 self.bad.append(f"row {line!r}: service not mapped to {parts[1]}")
 
 
-class StampedSource:
-    """A flow source that notes when each datagram enters the engine."""
+class MarkedSource:
+    """A replay source that appends a progress mark every ``every`` items."""
 
-    def __init__(self, inner, stamps):
+    def __init__(self, inner, marks, every):
         self.inner = inner
-        self.stamps = stamps
+        self.marks = marks
+        self.every = every
         self.ingest_stats = inner.ingest_stats
 
     def close(self) -> None:
         self.inner.close()
 
     def __iter__(self):
-        append = self.stamps.append
-        for item in self.inner:
-            append(clock())
+        marks = self.marks
+        every = self.every
+        for i, item in enumerate(self.inner, 1):
+            if i % every == 0:
+                marks.append((clock(), cpu_clock()))
             yield item
 
 
-def run_replay(cache, sink_factory):
-    """One replay; returns (report, sink, ready, start, sender stats)."""
+def run_replay(cache, manifest, sink_factory):
+    """One replay; returns (report, sink, ready, start, sender stats).
+
+    Progress marks: every 1/SEGMENTS of the DNS messages as the DNS lane
+    hands them to the engine, then every 1/SEGMENTS of the flows as their
+    rows reach the sink. The DNS-first barrier drains the DNS lane before
+    any flow is read, so the marks of every repetition line up.
+    """
     from repro.core.async_engine import AsyncEngine
     from repro.replay.source import replay_sources
 
-    stamps = []
-    sink = sink_factory(stamps)
+    marks = []
+    sink = sink_factory(marks, None)
     engine = AsyncEngine(sink=sink)
     dns_sources, flow_sources = replay_sources(os.path.join(cache, "capture.fdc"))
-    flow_sources = [StampedSource(flow_sources[0], stamps)]
+    dns_sources = [MarkedSource(dns_sources[0], marks, mark_every(manifest["dns_messages"]))]
     gc.collect()
     start = clock()
+    marks.append((start, cpu_clock()))
     report = engine.run(dns_sources, flow_sources, dns_first=True)
     return report, sink, start, start, {}
 
@@ -213,22 +239,23 @@ def pin_elsewhere() -> None:
         os.sched_setaffinity(0, others)
 
 
-def run_live(cache, manifest, sink_factory, workload, seed):
+def run_live(cache, manifest, sink_factory):
     """One live session; returns (report, sink, ready, start, sender stats).
 
     ``ready`` is when both listeners are bound, ``start`` when the first
-    frame is due.
+    frame is due. Progress marks come from the sink alone.
     """
     import asyncio
 
-    from captures import WORKLOADS, live_speed
+    from captures import live_speed
     from repro.core.async_engine import AsyncEngine, TcpDnsIngest, UdpFlowIngest
 
-    speed = live_speed(WORKLOADS[workload], seed)
+    speed = live_speed(manifest)
     first_ts = manifest["first_ts"]
     offsets = [(ts - first_ts) / speed for ts in manifest["datagram_ts"]]
     due = []
-    sink = sink_factory(due)
+    marks = []
+    sink = sink_factory(marks, due)
     origin = [None]
 
     def capture_clock():
@@ -265,6 +292,7 @@ def run_live(cache, manifest, sink_factory, workload, seed):
             start = clock() + 0.05
             origin[0] = start
             due.extend(start + off for off in offsets)
+            marks.append((start, cpu_clock()))
             sender.stdin.write(f"{start!r}\n".encode())
             await sender.stdin.drain()
             out = await asyncio.wait_for(sender.stdout.read(), 120)
@@ -302,24 +330,23 @@ def main(argv=None) -> int:
     manifest = load_manifest(args.cache)
     live = WORKLOADS[args.workload].live
     flows = manifest["datagram_flows"]
+    every = mark_every(manifest["flows"])
     if args.mode == "verify":
         with open(os.path.join(args.cache, "dnsref.json"), encoding="utf-8") as handle:
             reference = json.load(handle)
 
-        def sink_factory(due):
-            return VerifyingSink(flows, due, reference)
+        def sink_factory(marks, due):
+            return VerifyingSink(reference, marks, every, datagram_flows=flows, due=due)
     else:
-        def sink_factory(due):
-            return CountingSink(flows, due, recorder)
+        def sink_factory(marks, due):
+            return CountingSink(marks, every, recorder, datagram_flows=flows, due=due)
 
     if live:
-        report, sink, ready, start, sender = run_live(
-            args.cache, manifest, sink_factory, args.workload, args.seed
-        )
+        report, sink, ready, start, sender = run_live(args.cache, manifest, sink_factory)
     else:
-        report, sink, ready, start, sender = run_replay(args.cache, sink_factory)
+        report, sink, ready, start, sender = run_replay(args.cache, manifest, sink_factory)
     wall = sink.last_write - start
-    p50, p99, samples = sink.latency_ms()
+    marks = sink.marks + [(sink.last_write, cpu_clock())]
 
     problems = list(check_report(report, rows=sink.rows))
     if sink.rows != manifest["flows"]:
@@ -347,16 +374,19 @@ def main(argv=None) -> int:
         "rows": sink.rows,
         "offered": manifest["flows"],
         "flows_per_s": sink.rows / wall,
+        "wall_segments": [b[0] - a[0] for a, b in zip(marks, marks[1:])],
+        "cpu_segments": [b[1] - a[1] for a, b in zip(marks, marks[1:])],
         "match_rate": report.matched_flows / report.flow_records,
         "correlation_rate": report.correlation_rate,
-        "latency_p50_ms": p50,
-        "latency_p99_ms": p99,
-        "latency_samples": samples,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "crc32": sink.crc,
         "problems": problems,
         "sender": sender,
     }
+    if live:
+        result["latency_p50_ms"], result["latency_p99_ms"], result["latency_samples"] = (
+            sink.latency_ms()
+        )
     if recorder is not None:
         result["layers"] = layer_table(recorder, report, sink, sender, wall)
         if args.spans_out:
@@ -367,8 +397,9 @@ def main(argv=None) -> int:
 
 def layer_table(recorder, report, sink, sender, wall) -> dict:
     """Per-layer numbers of one traced repetition."""
-    busy = recorder.self_times()
-    calls = recorder.calls()
+    per_call = recorder.self_times()
+    busy = {layer: sum(times) for layer, times in per_call.items()}
+    calls = {layer: len(times) for layer, times in per_call.items()}
     counts = recorder.counts
     chain_flows = sum(report.chain_lengths.values())
     chain_total = sum(length * n for length, n in report.chain_lengths.items())
@@ -423,7 +454,15 @@ def layer_table(recorder, report, sink, sender, wall) -> dict:
         "self_sum_s": sum(busy.values()),
         "wall_s": wall,
         "spans": len(recorder.spans) + len(recorder.waits),
+        "self_chunks": {layer: chunk_sums(times) for layer, times in per_call.items()},
     }
+
+
+def chunk_sums(times) -> list:
+    """``times`` summed over SEGMENTS runs of consecutive calls."""
+    n = len(times)
+    cuts = [n * i // SEGMENTS for i in range(SEGMENTS + 1)]
+    return [sum(times[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@ Set-up generates the workload's capture from ``--seed`` (cached under
 longer give the workload its reason. Then every repetition runs in a
 fresh process (``rep.py``): first one untimed verification pass that
 checks every output row, then timed repetitions until ``--seconds`` have
-passed. ``--trace 0`` reports the end-to-end metrics (medians over the
-timed repetitions); ``--trace 1`` alternates untimed-untraced and traced
-repetitions and reports the per-layer table, writing the spans of the
-last traced repetition to ``.bench_out/``.
+passed. ``--trace 0`` reports the end-to-end metrics over the timed
+repetitions (times as segment minima, see :func:`segment_minima`);
+``--trace 1`` alternates untraced and traced repetitions and reports the
+per-layer table, writing the spans of the last traced repetition to
+``.bench_out/``. Metric names and units come from ``BENCHMARK.json``.
 
 The last stdout line is one JSON object: ``correct``, ``attempted``
 (flows offered over the measured repetitions), ``failed`` (flows that
@@ -32,47 +33,38 @@ from statistics import median
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
-MIN_REPS = 3
+MIN_REPS = 5
 MAX_REPS = 40
 REP_TIMEOUT_S = 120
 
-END_TO_END = (
-    ("flows_per_s", "flows/s"),
-    ("setup_s", "s"),
-    ("peak_rss_mb", "MiB"),
-    ("match_rate", "ratio"),
-    ("correlation_rate", "ratio"),
-    ("delivered_ratio", "ratio"),
-)
 
-#: Per-layer metrics and units, in table order.
-PER_LAYER = (
-    ("replay.busy_s", "s"), ("replay.frames", "count"), ("replay.bytes", "bytes"),
-    ("netflow.busy_s", "s"), ("netflow.datagrams", "count"), ("netflow.flows", "count"),
-    ("netflow.decode_errors", "count"),
-    ("dns.busy_s", "s"), ("dns.calls", "count"), ("dns.messages", "count"),
-    ("dns.records", "count"), ("dns.invalid", "count"), ("dns.records_per_msg", "ratio"),
-    ("storage.busy_s", "s"), ("storage.calls", "count"), ("storage.rows", "count"),
-    ("storage.entries", "count"), ("storage.overwrites", "count"),
-    ("storage.evictions", "count"),
-    ("lookup.busy_s", "s"), ("lookup.calls", "count"), ("lookup.flows", "count"),
-    ("lookup.matched", "count"), ("lookup.match_ratio", "ratio"),
-    ("lookup.chain_len_mean", "names"),
-    ("writer.format_busy_s", "s"), ("writer.calls", "count"), ("writer.sink_s", "s"),
-    ("writer.rows", "count"), ("writer.bytes", "bytes"),
-    ("queue.puts", "count"), ("queue.wait_s", "s"), ("queue.max_depth", "items"),
-    ("engine.batches", "count"), ("engine.mean_batch", "items"),
-    ("ingest.busy_s", "s"), ("ingest.calls", "count"), ("ingest.received", "count"),
-    ("ingest.dropped", "count"), ("ingest.recv_buffer_bytes", "bytes"),
-    ("sender.late_ms", "ms"),
-    ("latency_p50_ms", "ms"), ("latency_p99_ms", "ms"), ("latency_samples", "flows"),
-    ("self_sum_s", "s"), ("wall_s", "s"), ("untraced_wall_s", "s"),
-    ("orchestration_s", "s"), ("trace_overhead_s", "s"), ("spans", "count"),
-)
+def load_metric_units() -> tuple:
+    """``(end_to_end, per_layer)`` as ordered ``{name: unit}`` from BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    return tuple({m["name"]: m["unit"] for m in spec[key]} for key in ("end_to_end", "per_layer"))
 
-#: Per-layer values that are times and so vary between repetitions; the
-#: table reports their median. Counts come from the last traced run.
+
+#: Per-layer values that are times; on ``live-paced`` the table reports
+#: their median over the traced repetitions.
 _TIMED_LAYER_KEYS = ("busy_s", "wait_s", "sink_s", "late_ms", "self_sum_s", "wall_s")
+
+#: Per-layer busy-time metrics and the span layer each sums.
+BUSY_LAYERS = {
+    "replay.busy_s": "replay",
+    "netflow.busy_s": "netflow",
+    "dns.busy_s": "dns",
+    "storage.busy_s": "storage",
+    "lookup.busy_s": "lookup",
+    "writer.format_busy_s": "writer",
+    "writer.sink_s": "sink",
+    "ingest.busy_s": "ingest",
+}
+
+#: Busy times of the layers each kind of workload runs through; each
+#: must be above 0 in every traced repetition.
+_REPLAY_BUSY = [name for name in BUSY_LAYERS if name != "ingest.busy_s"]
+_LIVE_BUSY = [name for name in BUSY_LAYERS if name != "replay.busy_s"]
 
 
 def parse_args(argv=None):
@@ -94,8 +86,8 @@ def run_rep(workload: str, seed: int, cache: str, mode: str, k: int,
 
     Output speed depends on where the process's string hashes put keys
     in the program's dicts, by ~±15% between processes, so repetition
-    ``k`` of every run uses ``PYTHONHASHSEED=k``: a run's median is taken
-    over the same hash layouts each time. The two CPUs of the 2-core host
+    ``k`` of every run uses ``PYTHONHASHSEED=k``: every run's minima and
+    medians are taken over the same hash layouts. The two CPUs of the 2-core host
     it was tuned on also differ in speed, so repetitions alternate
     between the CPUs instead of landing where the scheduler puts them.
     """
@@ -139,6 +131,7 @@ def main(argv=None) -> int:
         log(f"unknown workload {args.workload!r}; choose one of {sorted(WORKLOADS)}")
         return 2
     workload = WORKLOADS[args.workload]
+    end_to_end_units, per_layer_units = load_metric_units()
 
     # Set-up: capture (cached per seed and params), properties, checks.
     cache = ensure_capture(ROOT, workload, args.seed)
@@ -167,10 +160,11 @@ def main(argv=None) -> int:
             traced.append(run_rep(args.workload, args.seed, cache, "traced", k,
                                   spans_out=stem + ".spans.csv"))
         for rep in (reps[-1], traced[-1]) if args.trace else (reps[-1],):
+            latency = (f" p50={rep['latency_p50_ms']:.1f}ms p99={rep['latency_p99_ms']:.1f}ms"
+                       if workload.live else "")
             log(f"{rep['mode']} rep {len(reps)}: wall={rep['wall_s']:.3f}s "
                 f"flows/s={rep['flows_per_s']:.0f} setup={rep['setup_s']:.3f}s "
-                f"p50={rep['latency_p50_ms']:.1f}ms p99={rep['latency_p99_ms']:.1f}ms "
-                f"rss={rep['peak_rss_mb']:.1f}MiB")
+                f"rss={rep['peak_rss_mb']:.1f}MiB{latency}")
             problems += [f"{rep['mode']}: {p}" for p in rep["problems"]]
     measured = traced if args.trace else reps
     attempted = sum(r["offered"] for r in measured)
@@ -179,28 +173,20 @@ def main(argv=None) -> int:
     print(f"workload={args.workload} seed={args.seed} repetitions={len(measured)} "
           f"verified_crc32={verify['crc32']:08x}")
     if args.trace:
-        metrics = layer_metrics(reps, traced)
-        ok = trace_gates(traced, metrics, problems)
+        units = per_layer_units
+        metrics = layer_metrics(reps, traced, units, workload.live, problems)
+        problems += layer_checks(traced, manifest, workload.live)
         with open(stem + ".layers.json", "w", encoding="utf-8") as handle:
             json.dump({"workload": args.workload, "seed": args.seed,
                        "metrics": metrics}, handle, indent=1)
-        units = dict(PER_LAYER)
     else:
-        metrics = {
-            "flows_per_s": median([r["flows_per_s"] for r in reps]),
-            "setup_s": median([r["setup_s"] for r in reps]),
-            "peak_rss_mb": median([r["peak_rss_mb"] for r in reps]),
-            "match_rate": median([r["match_rate"] for r in reps]),
-            "correlation_rate": median([r["correlation_rate"] for r in reps]),
-            "delivered_ratio": median([r["rows"] / r["offered"] for r in reps]),
-        }
-        ok = True
-        units = dict(END_TO_END)
-        print(f"latency (no bound; see README): p50="
-              f"{median([r['latency_p50_ms'] for r in reps]):.3f} ms p99="
-              f"{median([r['latency_p99_ms'] for r in reps]):.3f} ms over "
-              f"{reps[-1]['latency_samples']} flows per repetition")
+        units = end_to_end_units
+        metrics = end_to_end_metrics(reps, manifest["flows"], workload.live, problems)
         if workload.live:
+            print(f"latency (no bound; see README): p50="
+                  f"{median([r['latency_p50_ms'] for r in reps]):.3f} ms p99="
+                  f"{median([r['latency_p99_ms'] for r in reps]):.3f} ms over "
+                  f"{reps[-1]['latency_samples']} flows per repetition")
             late = [r["sender"]["late_p99_ms"] for r in reps]
             print(f"sender lateness p99 (median over repetitions): {median(late):.3f} ms")
     for name, value in metrics.items():
@@ -208,7 +194,7 @@ def main(argv=None) -> int:
     for problem in problems:
         print(f"FAILED CHECK {problem}")
     result = {
-        "correct": ok and not problems,
+        "correct": not problems,
         "attempted": attempted,
         "failed": failed,
         "metrics": {name: {"value": value, "unit": units[name]} for name, value in metrics.items()},
@@ -217,54 +203,118 @@ def main(argv=None) -> int:
     return 0
 
 
-def layer_metrics(untraced, traced) -> dict:
-    """The per-layer table: medians of times, counts of the last run."""
-    last = traced[-1]["layers"]
-    metrics = {}
-    for name, _unit in PER_LAYER:
-        if name in last:
-            if name.endswith(_TIMED_LAYER_KEYS):
-                metrics[name] = median([r["layers"][name] for r in traced])
-            else:
-                metrics[name] = last[name]
-    # Repetition k of each kind ran back to back with the same hash seed;
-    # differencing within those pairs keeps machine-speed drift out.
-    pairs = [(u["wall_s"], t["layers"]) for u, t in zip(untraced, traced)]
-    # Latency comes from the untraced repetitions: it is end to end, but
-    # too noisy on a shared host to carry a bound (see README).
-    for name in ("latency_p50_ms", "latency_p99_ms", "latency_samples"):
-        metrics[name] = median([r[name] for r in untraced])
-    metrics["untraced_wall_s"] = median([u for u, _ in pairs])
-    metrics["trace_overhead_s"] = median([t["wall_s"] - u for u, t in pairs])
-    metrics["orchestration_s"] = median([u - t["self_sum_s"] for u, t in pairs])
-    return {name: metrics[name] for name, _unit in PER_LAYER}
+def segment_minima(reps, key: str, problems) -> float:
+    """Sum over progress segments of the fastest repetition's time for it.
 
-
-def trace_gates(traced, metrics, problems) -> bool:
-    """The instrument's own gate: no double-counted or missing spans.
-
-    Layer self times may not add up to more than the traced wall time,
-    and the untraced wall time may not fall short of them by more than
-    the tracing overhead (``orchestration_s`` is untraced wall minus the
-    self times, so tracing's own cost inside the spans can push it below
-    zero, never further than the overhead).
+    Every repetition records the same progress marks (see ``rep.py``), so
+    segment ``j`` is the same work in each. The host switches between a
+    fast and a much slower speed every few seconds (another tenant on
+    the CPU), so a whole repetition's time is a mix of the two; per
+    segment, the minimum over repetitions keeps the fast speed and drops
+    the interference.
     """
-    ok = True
+    lengths = {len(r[key]) for r in reps}
+    if len(lengths) != 1:
+        problems.append(f"repetitions recorded different numbers of {key}: {sorted(lengths)}")
+        return median([sum(r[key]) for r in reps])
+    return sum(min(column) for column in zip(*(r[key] for r in reps)))
+
+
+def end_to_end_metrics(reps, flows: int, live: bool, problems) -> dict:
+    """The end-to-end table of the timed repetitions.
+
+    On ``live-paced`` the wall time follows the sender's fixed schedule,
+    so ``flows_per_s`` there is the median delivered rate, which falls
+    only when the engine cannot keep up; ``cpu_us_per_flow``, the
+    engine's CPU time in its fastest repetition, is what the engine's
+    own speed moves.
+    """
+    if live:
+        flows_per_s = median([r["flows_per_s"] for r in reps])
+        # Arrival timing shapes the batches, so segments of different
+        # repetitions are not the same work: take the fastest whole one.
+        cpu_s = min(sum(r["cpu_segments"]) for r in reps)
+    else:
+        flows_per_s = flows / segment_minima(reps, "wall_segments", problems)
+        cpu_s = segment_minima(reps, "cpu_segments", problems)
+    return {
+        "flows_per_s": flows_per_s,
+        "cpu_us_per_flow": 1e6 * cpu_s / flows,
+        # Best of the repetitions: set-up is shorter than the host's slow
+        # phases, so some repetitions always fall in a fast one.
+        "setup_s": min(r["setup_s"] for r in reps),
+        "peak_rss_mb": median([r["peak_rss_mb"] for r in reps]),
+        "match_rate": median([r["match_rate"] for r in reps]),
+        "correlation_rate": median([r["correlation_rate"] for r in reps]),
+        "delivered_ratio": median([r["rows"] / r["offered"] for r in reps]),
+    }
+
+
+def layer_metrics(untraced, traced, units, live: bool, problems) -> dict:
+    """The per-layer table.
+
+    Counts come from the last traced repetition. On the replay workloads
+    every repetition makes the same calls in the same order, so times
+    use the estimator of ``flows_per_s``: a layer's busy time is the sum,
+    over runs of consecutive calls, of the fastest repetition's self time
+    for that run; the untraced and traced wall times are the segment
+    minima of their repetitions. On ``live-paced`` arrival timing shapes
+    the batches, so times are medians over the repetitions.
+    """
+    last = traced[-1]["layers"]
+    metrics = {name: last[name] for name in units if name in last}
+    if live:
+        for name in last:
+            if name in units and name.endswith(_TIMED_LAYER_KEYS):
+                metrics[name] = median([r["layers"][name] for r in traced])
+        # Latency is end to end, from the untraced repetitions, and too
+        # noisy on a shared host to carry a bound (see README).
+        for name in ("latency_p50_ms", "latency_p99_ms", "latency_samples"):
+            metrics[name] = median([r[name] for r in untraced])
+        untraced_wall = median([r["wall_s"] for r in untraced])
+    else:
+        for name, layer in BUSY_LAYERS.items():
+            chunks = [r["layers"]["self_chunks"].get(layer, [0.0]) for r in traced]
+            metrics[name] = sum(min(column) for column in zip(*chunks))
+        metrics["self_sum_s"] = sum(metrics[name] for name in BUSY_LAYERS)
+        metrics["wall_s"] = segment_minima(traced, "wall_segments", problems)
+        for name in ("latency_p50_ms", "latency_p99_ms", "latency_samples"):
+            metrics[name] = 0
+        untraced_wall = segment_minima(untraced, "wall_segments", problems)
+        metrics["queue.wait_s"] = median([r["layers"]["queue.wait_s"] for r in traced])
+    metrics["untraced_wall_s"] = untraced_wall
+    metrics["trace_overhead_s"] = metrics["wall_s"] - untraced_wall
+    metrics["orchestration_s"] = untraced_wall - metrics["self_sum_s"]
+    return {name: metrics[name] for name in units}
+
+
+def layer_checks(traced, manifest, live: bool) -> list:
+    """The instrument's own gate: every span present, none counted twice.
+
+    Each traced repetition's layer counts must equal the capture's (a
+    layer wrapper that is missing or applied twice changes them), and
+    every layer the workload runs through must show busy time.
+    """
+    flows = manifest["flows"]
+    expected = {
+        "netflow.datagrams": manifest["flow_datagrams"],
+        "netflow.flows": flows,
+        "lookup.flows": flows,
+        "writer.rows": flows,
+        "dns.messages": manifest["dns_messages"],
+    }
+    if not live:
+        expected["replay.frames"] = manifest["flow_datagrams"] + manifest["dns_messages"]
+    problems = []
     for i, rep in enumerate(traced):
         layers = rep["layers"]
-        if layers["self_sum_s"] > layers["wall_s"]:
-            problems.append(
-                f"traced run {i}: layer self times {layers['self_sum_s']:.4f}s exceed "
-                f"wall {layers['wall_s']:.4f}s"
-            )
-            ok = False
-    if metrics["orchestration_s"] < -abs(metrics["trace_overhead_s"]):
-        problems.append(
-            f"orchestration_s={metrics['orchestration_s']:.4f}s is negative beyond the "
-            f"tracing overhead {metrics['trace_overhead_s']:.4f}s"
-        )
-        ok = False
-    return ok
+        for name, want in expected.items():
+            if layers[name] != want:
+                problems.append(f"traced rep {i}: {name}={layers[name]}, capture has {want}")
+        for name in _LIVE_BUSY if live else _REPLAY_BUSY:
+            if not layers[name] > 0:
+                problems.append(f"traced rep {i}: {name}={layers[name]}, layer not traced")
+    return problems
 
 
 if __name__ == "__main__":

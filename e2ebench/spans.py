@@ -60,23 +60,19 @@ class SpanRecorder:
         finally:
             self.waits.append((layer, start, self.clock()))
 
-    def self_times(self) -> Dict[str, float]:
-        """Per-layer self time: span durations minus their children's."""
+    def self_times(self) -> Dict[str, List[float]]:
+        """Per-layer self times of each call, in call order.
+
+        A call's self time is its span's duration minus its child spans'.
+        """
         child = [0.0] * len(self.spans)
         for span in self.spans:
             if span is not None and span[3] >= 0:
                 child[span[3]] += span[2] - span[1]
-        out: Dict[str, float] = defaultdict(float)
+        out: Dict[str, List[float]] = defaultdict(list)
         for i, span in enumerate(self.spans):
             if span is not None:
-                out[span[0]] += span[2] - span[1] - child[i]
-        return out
-
-    def calls(self) -> Dict[str, int]:
-        out: Dict[str, int] = defaultdict(int)
-        for span in self.spans:
-            if span is not None:
-                out[span[0]] += 1
+                out[span[0]].append(span[2] - span[1] - child[i])
         return out
 
     def wait_time(self) -> float:
