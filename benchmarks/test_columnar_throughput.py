@@ -3,10 +3,13 @@
 PR 3's acceptance gate: the columnar flow path (``decode_batch_columns``
 → ``correlate_batch_columns``, no ``FlowRecord``/``ipaddress``/
 ``CorrelationResult`` objects anywhere) must run the same datagram
-corpus at ≥2× the object reference path (``decode`` →
-``correlate_batch``). Both paths use the compiled template decoders, so
-the ratio isolates exactly what this PR removes: per-record object
-materialisation and the re-derivation of lookup text.
+corpus at ≥2× the object reference path (``decode`` → the record-list
+oracle ``lane_oracle.ReferenceLookUpProcessor.correlate_batch``). Both
+paths use the compiled template decoders, so the ratio isolates exactly
+what the columnar path removes: per-record object materialisation and
+the re-derivation of lookup text. Timing follows ``cpu_timing``: CPU
+time, GC paused, alternating trials of at least 100 ms, and the ratio of
+each path's best trial.
 
 The corpus mirrors the paper's pipeline: one learned v9 template, many
 datagrams, flows drawn from a CDN-style repeating address pool, a DNS
@@ -18,6 +21,9 @@ shared runner are noise, the number is trajectory data.
 """
 
 import time
+
+from cpu_timing import best_pair, reset_process_caches
+from lane_oracle import ReferenceLookUpProcessor
 
 from repro.bgp.prefix_trie import PrefixTrie
 from repro.core.config import FlowDNSConfig
@@ -90,8 +96,8 @@ def _filled_storage():
     return storage
 
 
-def test_columnar_beats_object_path():
-    """Gate: columnar decode→correlate ≥2× the object path, same corpus."""
+def _paths():
+    """The object and the columnar decode→correlate path over one corpus."""
     template, datagrams = _corpus()
     storage = _filled_storage()
     config = FlowDNSConfig()
@@ -103,7 +109,7 @@ def test_columnar_beats_object_path():
         flows = []
         for datagram in datagrams:
             flows.extend(session.decode(datagram))
-        processor = LookUpProcessor(storage, config)
+        processor = ReferenceLookUpProcessor(storage, config)
         results = processor.correlate_batch(flows)
         assert len(results) == expected
         return processor.stats.matched
@@ -119,33 +125,31 @@ def test_columnar_beats_object_path():
         assert len(correlated) == expected
         return processor.stats.matched
 
-    # Correctness first: both paths must correlate every flow identically
-    # (this also serves as the warmup pass for both).
+    return object_path, columnar_path
+
+
+def test_columnar_beats_object_path():
+    """Gate: columnar decode→correlate ≥2× the object path, same corpus."""
+    expected = N_DATAGRAMS * FLOWS_PER_DATAGRAM
+    reset_process_caches()
+    object_path, columnar_path = _paths()
+
+    # Correctness first: both paths must correlate every flow identically.
     assert object_path() == columnar_path() == expected
 
-    # Interleaved best-of-7 pairs rather than two separate best-of-N
-    # blocks: a machine-wide noise burst (CI neighbour, GC, page cache)
-    # then hits adjacent samples of *both* paths instead of deflating
-    # only one side of the ratio — this gate flaked once on a 1-CPU
-    # container when the columnar block alone caught a spike.
-    t_object = t_columnar = float("inf")
-    for _ in range(7):
-        start = time.perf_counter()
-        object_path()
-        t_object = min(t_object, time.perf_counter() - start)
-        start = time.perf_counter()
-        columnar_path()
-        t_columnar = min(t_columnar, time.perf_counter() - start)
+    # Alternating CPU-time trials (see cpu_timing): this gate flaked on
+    # wall time when one path's block alone caught a spike.
+    t_object, t_columnar = best_pair(object_path, columnar_path)
     ratio = t_object / t_columnar
     flows_per_sec = expected / t_columnar
     record_bench("columnar_speedup", round(ratio, 2))
     record_bench("columnar_flows_per_sec", round(flows_per_sec))
     record_bench("object_path_flows_per_sec", round(expected / t_object))
     print(f"\ncolumnar: object {t_object * 1e3:.1f} ms, columnar "
-          f"{t_columnar * 1e3:.1f} ms, {ratio:.1f}x, {flows_per_sec:,.0f} flows/s")
+          f"{t_columnar * 1e3:.1f} ms, {ratio:.2f}x, {flows_per_sec:,.0f} flows/s")
     assert ratio >= MIN_SPEEDUP, (
         f"columnar decode→correlate only {ratio:.2f}x the object path "
-        f"({t_object:.4f}s vs {t_columnar:.4f}s)"
+        f"({t_object:.4f}s vs {t_columnar:.4f}s CPU)"
     )
 
 

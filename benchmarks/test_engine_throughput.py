@@ -7,8 +7,10 @@ EXPERIMENTS.md can report it, and uses real pytest-benchmark timing.
 
 Three pipeline shapes are compared on identical fixtures: the per-record
 path (one call, one lock round-trip per record), the batched path
-(``correlate_batch``/``process_batch``, the engines' fast path), and the
-multiprocessing :class:`ShardedEngine`.
+(``correlate_batch_columns``/``process_batch``, the engines' fast path),
+and the multiprocessing :class:`ShardedEngine`. Both lookup shapes start
+from the same ``FlowRecord`` list, so the batched side's timing includes
+packing the records into a :class:`FlowBatch`.
 """
 
 import time
@@ -23,7 +25,7 @@ from repro.core.simulation import SimulationEngine
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 from repro.util.benchio import record_bench
 
 N_RECORDS = 20_000
@@ -49,7 +51,8 @@ def test_fillup_throughput(benchmark, prepared_records):
 
     def fill():
         processor = FillUpProcessor(DnsStorage(FlowDNSConfig()))
-        processor.process_many(dns)
+        for record in dns:
+            processor.process(record)
         return processor.stats.records_stored
 
     stored = benchmark(fill)
@@ -59,7 +62,7 @@ def test_fillup_throughput(benchmark, prepared_records):
 def test_lookup_throughput(benchmark, prepared_records):
     dns, flows = prepared_records
     storage = DnsStorage(FlowDNSConfig())
-    FillUpProcessor(storage).process_many(dns)
+    FillUpProcessor(storage).process_batch(dns)
 
     def look():
         processor = LookUpProcessor(storage, FlowDNSConfig())
@@ -90,7 +93,7 @@ def test_lookup_batched_throughput(benchmark, prepared_records):
 
     def look():
         processor = LookUpProcessor(storage, FlowDNSConfig())
-        processor.correlate_batch(flows)
+        processor.correlate_batch_columns(FlowBatch.from_records(flows))
         return processor.stats.matched
 
     matched = benchmark(look)
@@ -124,7 +127,7 @@ def test_batched_beats_per_record(prepared_records):
 
     def batched():
         processor = LookUpProcessor(storage, FlowDNSConfig())
-        processor.correlate_batch(flows)
+        processor.correlate_batch_columns(FlowBatch.from_records(flows))
 
     t_single = timed(per_record)
     t_batch = timed(batched)

@@ -205,12 +205,7 @@ class ThreadedEngine:
             for _ in range(cfg.fillup_workers_per_stream):
                 processor = FillUpProcessor(self.storage)
                 self._fillup_processors.append(processor)
-                lane = FillLane(
-                    processor,
-                    self.storage,
-                    exact_ttl=cfg.exact_ttl,
-                    columnar=cfg.dns_fill_columnar,
-                )
+                lane = FillLane(processor, self.storage, exact_ttl=cfg.exact_ttl)
                 t = threading.Thread(
                     target=self._fillup_worker, args=(stream, lane), daemon=True
                 )

@@ -4,6 +4,12 @@ The pure record-level logic lives in :class:`FillUpProcessor` so the
 threaded engine (which wraps it in worker threads) and the simulation
 engine (which calls it inline) share one implementation — any divergence
 between the two engines would make the ablation comparisons meaningless.
+
+Batched fills store through one call, :meth:`DnsStorage.add_many_columns`:
+``process_columns`` takes a decoded :class:`~repro.dns.columnar.DnsBatch`
+and ``process_batch`` packs a record list into one. Per-record
+``filter_message``/``process`` serve the simulation engine, the
+``FlowDNS`` facade and the exact-TTL lane.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from repro.core.storage_adapter import DnsStorage
+from repro.dns.columnar import DnsBatch
 from repro.dns.stream import DnsRecord, records_from_message
 from repro.dns.wire import DnsMessage, decode_message
 from repro.util.errors import ParseError
@@ -86,30 +93,30 @@ class FillUpProcessor:
         self.stats.records_stored += 1
         return True
 
-    def process_many(self, records: Iterable[DnsRecord]) -> int:
-        stored = 0
-        for record in records:
-            if self.process(record):
-                stored += 1
-        return stored
-
     def process_batch(self, records: Iterable[DnsRecord]) -> int:
         """Batched steps 4–6: one storage round-trip for many records.
 
         Equivalent to calling :meth:`process` per record (same counters,
-        same stored set) but with the per-record lock acquisitions and the
-        rotation check amortised over the batch via
-        :meth:`DnsStorage.add_many`. Returns how many records were stored.
+        same stored set), with the lock acquisitions and the rotation
+        check amortised over the batch: the storable records pack into one
+        :class:`~repro.dns.columnar.DnsBatch` for
+        :meth:`DnsStorage.add_many_columns`. Returns how many were stored.
         """
         batch = records if isinstance(records, list) else list(records)
         if not batch:
             return 0
-        storable = [r for r in batch if r.is_address or r.is_cname]
-        self.storage.add_many(storable)
+        storable = DnsBatch()
+        for record in batch:
+            if record.is_address or record.is_cname:
+                storable.append_row(
+                    record.ts, record.query, record.rtype, record.ttl, record.answer
+                )
+        stored = len(storable)
+        self.storage.add_many_columns(storable)
         self.stats.records_in += len(batch)
-        self.stats.records_stored += len(storable)
-        self.stats.records_skipped += len(batch) - len(storable)
-        return len(storable)
+        self.stats.records_stored += stored
+        self.stats.records_skipped += len(batch) - stored
+        return stored
 
     def process_columns(self, batch) -> int:
         """The columnar fill path: one :class:`~repro.dns.columnar.DnsBatch`

@@ -22,7 +22,7 @@ from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationResult, LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 
 
 class FlowDNS:
@@ -54,7 +54,7 @@ class FlowDNS:
     def add_dns_message(self, ts: float, payload) -> int:
         """Filter + insert a wire-format response (bytes or DnsMessage)."""
         records = self._fillup.filter_message(ts, payload)
-        return self._fillup.process_many(records)
+        return self._fillup.process_batch(records)
 
     # --- flow side ------------------------------------------------------------
 
@@ -63,14 +63,18 @@ class FlowDNS:
         return self._lookup.process(flow)
 
     def correlate_many(self, flows: Iterable[FlowRecord]) -> List[CorrelationResult]:
-        """Correlate many flows through the batched fast path.
+        """Correlate many flows through the engines' columnar path.
 
         Each distinct lookup IP is resolved once for the whole batch (see
-        :meth:`LookUpProcessor.correlate_batch` for the exact semantics).
+        :meth:`LookUpProcessor.correlate_batch_columns` for the exact
+        semantics). The results carry the caller's own flow objects.
         """
-        return self._lookup.correlate_batch(
-            flows if isinstance(flows, list) else list(flows)
-        )
+        batch = flows if isinstance(flows, list) else list(flows)
+        correlated = self._lookup.correlate_batch_columns(FlowBatch.from_records(batch))
+        return [
+            CorrelationResult(flow, chain, flow.ts)
+            for flow, chain in zip(batch, correlated.chains)
+        ]
 
     def service_of(self, ip, now: float) -> Optional[str]:
         """Resolve one bare IP to its service name (or None).
@@ -91,11 +95,7 @@ class FlowDNS:
         a caller whose DNS stream can go quiet should tick with its own
         clock so clear-ups still happen on schedule.
         """
-        if self.config.exact_ttl:
-            self.storage.tick(ts)
-        else:
-            self.storage.ip_bank.maybe_clear_up(ts)
-            self.storage.cname_bank.maybe_clear_up(ts)
+        self.storage.tick(ts)
 
     @property
     def fillup_stats(self):

@@ -8,9 +8,8 @@ same two lanes from the paper's Figure 1:
 * the **fill lane** (DNS): batch a wake-up's raw wire payloads into one
   :class:`~repro.dns.columnar.DnsBatch` via the selective columnar
   decoder and store its columns directly (non-wire items — records,
-  decoded messages — take the object FillUp filter); per-record with
-  expiry sweeps in exact-TTL mode, which always stays on the reference
-  object path;
+  decoded messages — take the FillUp filter); in exact-TTL mode both
+  paths store and sweep one record at a time;
 * the **lookup lane** (Netflow): normalise stream items (raw export
   datagrams, :class:`FlowRecord` objects, or whole :class:`FlowBatch`
   es) into one columnar batch per wake-up, correlate it, and hand the
@@ -223,32 +222,32 @@ def flow_items_to_batch(items: Iterable, collector: FlowCollector) -> FlowBatch:
 class FillLane:
     """The DNS fill stage: items → validated records → storage.
 
-    The default path is columnar: a wake-up's raw wire payloads
-    accumulate into one :class:`~repro.dns.columnar.DnsBatch` (the DNS
-    twin of the shape :class:`LookupLane` feeds
-    ``correlate_batch_columns``) and go to storage without materialising
-    a single per-record object. ``columnar=False`` keeps the object
-    reference path (``filter_message`` → ``process_batch``) the
-    differential suite compares against.
+    Wire payloads take the one production path: a wake-up's contiguous
+    ``(ts, wire)`` items accumulate into one
+    :class:`~repro.dns.columnar.DnsBatch` via
+    :func:`~repro.dns.columnar.decode_fill_columns` (the DNS twin of the
+    shape :class:`LookupLane` feeds ``correlate_batch_columns``) and go
+    to storage through :meth:`process_columns` without materialising a
+    single per-record object. Items that arrive as objects — DNS
+    records, decoded messages — go through the FillUp filter and
+    :meth:`process_records`.
 
-    Exact-TTL mode always keeps per-record processing and per-record
-    sweeps: the A.8 experiment's result *is* the sweep-cost meltdown,
+    Exact-TTL mode stores and sweeps one record at a time on both
+    paths: the A.8 experiment's result *is* the sweep-cost meltdown,
     so its timing must not be amortised away.
     """
 
-    __slots__ = ("processor", "storage", "exact_ttl", "columnar")
+    __slots__ = ("processor", "storage", "exact_ttl")
 
     def __init__(
         self,
         processor: FillUpProcessor,
         storage: Optional[DnsStorage] = None,
         exact_ttl: bool = False,
-        columnar: bool = True,
     ):
         self.processor = processor
         self.storage = storage if storage is not None else processor.storage
         self.exact_ttl = exact_ttl
-        self.columnar = columnar and not exact_ttl
 
     def process_records(self, records: Sequence[DnsRecord]) -> None:
         """Store already-normalised records (one batch round-trip)."""
@@ -264,9 +263,8 @@ class FillLane:
     def process_columns(self, batch) -> None:
         """Store one already-decoded :class:`~repro.dns.columnar.DnsBatch`.
 
-        The sharded engine's shards receive pre-partitioned column
-        tuples over IPC and land here. In exact-TTL mode rows rehydrate
-        to records so the per-record store + sweep cadence is preserved.
+        In exact-TTL mode rows rehydrate to records so the per-record
+        store + sweep cadence is preserved.
         """
         if self.exact_ttl:
             stats = self.processor.stats
@@ -281,21 +279,16 @@ class FillLane:
         self.processor.process_columns(batch)
 
     def process_items(self, items: Iterable) -> None:
-        """Normalise and store one wake-up's worth of stream items."""
-        if not self.columnar:
-            records: List[DnsRecord] = []
-            for item in items:
-                records.extend(dns_item_records(item, self.processor))
-            self.process_records(records)
-            return
-        # Columnar: contiguous runs of (ts, wire) items batch-decode
-        # straight to columns; anything else (DnsRecord objects, decoded
-        # messages) takes the object path. Runs flush on kind switches so
-        # storage sees items in arrival order — overwrite and clear-up
-        # semantics are order-sensitive.
+        """Normalise and store one wake-up's worth of stream items.
+
+        Contiguous runs of ``(ts, wire)`` items batch-decode straight to
+        columns; anything else takes the record path. Runs flush on kind
+        switches so storage sees items in arrival order — overwrite and
+        clear-up semantics are order-sensitive.
+        """
         payloads: List = []
         stamps: List[float] = []
-        records = []
+        records: List[DnsRecord] = []
         for item in items:
             if (
                 type(item) is tuple
@@ -309,14 +302,12 @@ class FillLane:
                 payloads.append(item[1])
                 continue
             if payloads:
-                self.processor.process_columns(
-                    decode_fill_columns(payloads, stamps)
-                )
+                self.process_columns(decode_fill_columns(payloads, stamps))
                 payloads = []
                 stamps = []
             records.extend(dns_item_records(item, self.processor))
         if payloads:
-            self.processor.process_columns(decode_fill_columns(payloads, stamps))
+            self.process_columns(decode_fill_columns(payloads, stamps))
         if records:
             self.process_records(records)
 
@@ -326,9 +317,7 @@ class LookupLane:
 
     The columnar fast path end-to-end: whatever mix of item types a
     stream carries, decode→correlate touches only :class:`FlowBatch`
-    columns and per-record objects are never materialised. The object
-    reference path stays available via the processor's
-    ``process``/``correlate_batch`` for parity tooling.
+    columns and per-record objects are never materialised.
     """
 
     __slots__ = ("processor", "collector", "ingest_stats")
@@ -348,7 +337,7 @@ class LookupLane:
         #: move with it.
         self.ingest_stats = ingest_stats
 
-    def correlate_batch(self, batch: FlowBatch) -> Optional[CorrelationBatch]:
+    def correlate(self, batch: FlowBatch) -> Optional[CorrelationBatch]:
         """Correlate one columnar batch; None when it is empty."""
         if not len(batch):
             return None
@@ -357,14 +346,14 @@ class LookupLane:
     def correlate_items(self, items: Iterable) -> Optional[CorrelationBatch]:
         """Accumulate one wake-up's items into a batch and correlate it."""
         if self.ingest_stats is None:
-            return self.correlate_batch(flow_items_to_batch(items, self.collector))
+            return self.correlate(flow_items_to_batch(items, self.collector))
         cstats = self.collector.stats
         errors_before = cstats.malformed + cstats.unknown_version
         batch = flow_items_to_batch(items, self.collector)
         self.ingest_stats.malformed += (
             cstats.malformed + cstats.unknown_version - errors_before
         )
-        return self.correlate_batch(batch)
+        return self.correlate(batch)
 
 
 # --- drain loop -------------------------------------------------------------
@@ -557,11 +546,10 @@ def merge_summaries(
         if dns_records is not None
         else sum(s["records_in"] for s in summaries)
     )
-    # .get: summaries from pre-invalid-count worker builds lack the key.
     report.dns_invalid = (
         dns_invalid
         if dns_invalid is not None
-        else sum(s.get("records_invalid", 0) for s in summaries)
+        else sum(s["records_invalid"] for s in summaries)
     )
     for summary in summaries:
         for length, count in summary["chain_lengths"].items():
@@ -569,8 +557,7 @@ def merge_summaries(
     # Resident entries across all stacks: replicated (broadcast) entries
     # genuinely occupy memory in each holding process, so they always sum.
     report.final_map_entries = sum(s["map_entries"] for s in summaries)
-    # .get: summaries from pre-eviction worker builds lack the key.
-    report.evictions = sum(s.get("evictions", 0) for s in summaries)
+    report.evictions = sum(s["evictions"] for s in summaries)
     if broadcast_overwrites:
         report.overwrites = max((s["overwrites"] for s in summaries), default=0)
     else:

@@ -64,7 +64,7 @@ from repro.core.pipeline import (
     stack_summary,
 )
 from repro.core.storage_adapter import DnsStorage
-from repro.core.writer import HEADER, format_batch, format_result
+from repro.core.writer import HEADER, format_batch
 from repro.dns.columnar import DnsBatch, decode_fill_columns
 from repro.dns.rr import RRType
 from repro.netflow.collector import FlowCollector
@@ -73,7 +73,6 @@ from repro.util.errors import ConfigError
 
 #: Message kinds on the shard input/output queues.
 _DNS = 0
-_FLOWS = 1
 _ROWS = 2
 _REPORT = 3
 #: A flow batch as flat primitive columns (``FlowBatch.columns()``): the
@@ -103,10 +102,7 @@ def _shard_worker(shard_id, config, in_queue, out_queue, want_rows) -> None:
     storage = DnsStorage(config)
     fillup = FillUpProcessor(storage)
     lookup = LookUpProcessor(storage, config)
-    fill_lane = FillLane(
-        fillup, storage, exact_ttl=config.exact_ttl,
-        columnar=config.dns_fill_columnar,
-    )
+    fill_lane = FillLane(fillup, storage, exact_ttl=config.exact_ttl)
     lookup_lane = LookupLane(lookup)
     error: Optional[str] = None
     try:
@@ -120,15 +116,9 @@ def _shard_worker(shard_id, config, in_queue, out_queue, want_rows) -> None:
             elif kind == _DNS_COLS:
                 fill_lane.process_columns(DnsBatch.from_columns(batch))
             elif kind == _FLOW_COLS:
-                correlated = lookup_lane.correlate_batch(FlowBatch.from_columns(batch))
+                correlated = lookup_lane.correlate(FlowBatch.from_columns(batch))
                 if want_rows and correlated is not None:
                     out_queue.put((_ROWS, format_batch(correlated)))
-            else:
-                # Object-lane reference path; the parent routes columns,
-                # but record batches stay decodable for parity tooling.
-                results = lookup.correlate_batch(batch)
-                if want_rows:
-                    out_queue.put((_ROWS, [format_result(r) for r in results]))
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         # Keep draining until the sentinel: the input queue is bounded, so
@@ -242,15 +232,14 @@ class ShardedEngine:
         hash the record path routes on (CNAME rows broadcast — chains
         are name-keyed and may be walked from any shard), and each full
         accumulator crosses IPC as one flat column tuple. Non-wire
-        items (records, decoded messages) keep the object path; runs
+        items (records, decoded messages) route as record batches; runs
         flush on kind switches so every shard queue preserves arrival
-        order. Exact-TTL runs stay entirely on the record path — the
-        shards' per-record store+sweep cadence is the A.8 subject.
+        order. Under exact-TTL the shards' fill lanes store and sweep
+        column rows one at a time, the A.8 cadence.
         """
         broadcast_addresses = self.config.direction is FlowDirection.BOTH
         num_shards = self.num_shards
         cname_type = _CNAME_TYPE
-        columnar = self.config.dns_fill_columnar and not self.config.exact_ttl
         batch_size = self.config.engine_batch_size
         # A storage-less processor gives us the same wire filter the
         # threaded engine applies; it only ever touches its stats here.
@@ -269,8 +258,8 @@ class ShardedEngine:
             payloads.clear()
             stamps.clear()
             seen += len(batch)
-            # The router is where the wire filter lives; its stats stay
-            # truthful whichever decode path a run takes.
+            # The router is where the wire filter lives, so its stats
+            # count every message whichever item kind carried it.
             stats = dns_filter.stats
             stats.raw_messages += batch.messages
             stats.invalid += batch.invalid
@@ -299,12 +288,11 @@ class ShardedEngine:
         try:
             for item in source:
                 if (
-                    columnar
-                    and type(item) is tuple
+                    type(item) is tuple
                     and len(item) == 2
                     and isinstance(item[1], (bytes, bytearray, memoryview))
                 ):
-                    # Entering a wire run: object-path batches already
+                    # Entering a wire run: record batches already
                     # routed must hit the queues first (order matters for
                     # overwrites and clear-up boundaries).
                     router.flush(_DNS)

@@ -83,48 +83,17 @@ class DnsStorage:
                 self._cname_bank.put(label, record.answer, record.query, record.ttl, record.ts)
         # Other record types were filtered before the FillUp queue.
 
-    def add_many(self, records: Iterable[DnsRecord]) -> None:
-        """Batched Algorithm-1 insert (the engines' fast path).
-
-        For the rotating store this costs one rotation check per bank and
-        one lock acquisition per touched map shard for the whole batch;
-        the exact-TTL store batches the same way (its expiry sweeps are
-        timestamp-driven through :meth:`tick`, never by puts).
-        """
-        ip_entries = []
-        cname_entries = []
-        for record in records:
-            if record.is_address:
-                ip_entries.append(
-                    (ip_label(record.answer), record.answer, record.query,
-                     record.ttl, record.ts)
-                )
-            elif record.is_cname:
-                cname_entries.append(
-                    (name_label(record.answer), record.answer, record.query,
-                     record.ttl, record.ts)
-                )
-        if self._ip_exact is not None:
-            if ip_entries:
-                self._ip_exact.put_many(ip_entries)
-            if cname_entries:
-                self._cname_exact.put_many(cname_entries)
-            return
-        if ip_entries:
-            self._ip_bank.put_many(ip_entries)
-        if cname_entries:
-            self._cname_bank.put_many(cname_entries)
-
     def add_many_columns(self, batch) -> None:
         """Batched Algorithm-1 insert straight from DnsBatch columns.
 
-        The columnar twin of :meth:`add_many`: same entry tuples, same
-        bank routing (including the exact-TTL branch), same one-lock-
-        round-trip-per-shard batching via ``put_many`` — but reading
-        parallel columns instead of ``DnsRecord`` attributes/properties.
-        Labels come from the same cached FNV hashers, and because the
-        decoder interned every name and IP text, the label caches and
-        map-key hashing share objects with the reference path.
+        Every batched fill lands here. For the rotating store this costs
+        one rotation check per bank and one lock acquisition per touched
+        map shard for the whole batch; the exact-TTL store batches the
+        same way (its expiry sweeps are timestamp-driven through
+        :meth:`tick`, never by puts). Labels come from the cached FNV
+        hashers, and because the decoder interned every name and IP
+        text, the label caches and map-key hashing share objects with
+        :meth:`add_record`.
         """
         names = batch.name
         rtypes = batch.rtype

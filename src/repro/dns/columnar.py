@@ -24,7 +24,12 @@ A/AAAA/CNAME rows land in the columns, with name decoding feeding the
 :mod:`repro.util.interning` tables (``cached_ip_text`` turns packed
 rdata into the same interned canonical text the object path produces
 via ``str(ip_address)``), so downstream map keys hash-share with the
-reference path byte for byte.
+object decoder's byte for byte.
+
+This is the only decode the live engines' fill lanes run on wire
+payloads, exact-TTL runs included. The object decoder stays for
+callers that take one message at a time (the ``FlowDNS`` facade's
+``add_dns_message``) and as the oracle the parity suite checks against.
 
 Parity contract (pinned by ``tests/test_dns_columnar_parity.py``): for
 any payload sequence, the rows, stored records and FillUp counters are

@@ -1,6 +1,6 @@
 """Tests for the batched hot path: buffer/queue batch pops, storage batch
-ops, and the processor-level ``process_batch``/``correlate_batch`` —
-including equivalence against the per-record path."""
+ops, and the processor-level ``process_batch``/``correlate_batch_columns``
+— including equivalence against the per-record path."""
 
 import threading
 
@@ -11,7 +11,7 @@ from repro.core.lookup import LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowDirection, FlowRecord
+from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
 from repro.storage.concurrent_map import ConcurrentMap
 from repro.storage.rotating import StoreBank
 from repro.streams.buffer import BoundedBuffer
@@ -199,7 +199,8 @@ class TestBatchEquivalence:
         lookup = LookUpProcessor(storage, config)
         results = []
         for i in range(0, len(flows), batch_size):
-            results.extend(lookup.correlate_batch(flows[i:i + batch_size]))
+            batch = FlowBatch.from_records(flows[i:i + batch_size])
+            results.extend(lookup.correlate_batch_columns(batch).results())
         return storage, fillup, lookup, results
 
     def test_results_and_counters_match(self):
@@ -246,7 +247,7 @@ class TestBatchEquivalence:
         assert fillup.process_batch(mixed) == 1
         assert fillup.stats.records_skipped == 1
         lookup = LookUpProcessor(storage, config)
-        assert lookup.correlate_batch([]) == []
+        assert lookup.correlate_batch_columns(FlowBatch()).results() == []
         assert lookup.stats.flows_in == 0
 
     def test_exact_ttl_falls_back_to_per_record(self):
@@ -260,7 +261,7 @@ class TestBatchEquivalence:
             FlowRecord(ts=5.0, src_ip="10.1.1.1", dst_ip="100.64.0.1", bytes_=10),
             FlowRecord(ts=50.0, src_ip="10.1.1.1", dst_ip="100.64.0.1", bytes_=10),
         ]
-        results = lookup.correlate_batch(flows)
+        results = lookup.correlate_batch_columns(FlowBatch.from_records(flows)).results()
         # Per-flow expiry clocks: the 5s flow matches, the 50s flow is past
         # the 10s TTL — exactly what per-record processing yields.
         assert results[0].matched and not results[1].matched
@@ -275,6 +276,8 @@ class TestConcurrentBatchSafety:
         storage = DnsStorage(config)
         dns = _dns_records(n=4000)
         flows = _flows(n=8000, services=40)
+        batches = [FlowBatch.from_records(flows[i:i + 64])
+                   for i in range(0, len(flows), 64)]
         fillup = FillUpProcessor(storage)
         lookups = [LookUpProcessor(storage, config) for _ in range(2)]
         errors = []
@@ -288,8 +291,8 @@ class TestConcurrentBatchSafety:
 
         def correlate(processor):
             try:
-                for i in range(0, len(flows), 64):
-                    processor.correlate_batch(flows[i:i + 64])
+                for batch in batches:
+                    processor.correlate_batch_columns(batch)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -305,7 +308,7 @@ class TestConcurrentBatchSafety:
         assert sum(p.stats.flows_in for p in lookups) == 2 * len(flows)
         # After the fill completes, every flow IP must resolve.
         verify = LookUpProcessor(storage, config)
-        results = verify.correlate_batch(flows)
+        results = verify.correlate_batch_columns(FlowBatch.from_records(flows)).results()
         assert all(r.matched for r in results)
 
 
@@ -319,6 +322,25 @@ class TestFacadeBatchPath:
         assert len(results) == len(flows)
         assert all(r.matched for r in results)
         assert fd.lookup_stats.flows_in == len(flows)
+
+    def test_correlate_many_returns_callers_flows_with_per_flow_chains(self):
+        dns = _dns_records()
+        flows = _flows(services=50) + [
+            FlowRecord(ts=2.0, src_ip="10.9.9.9", dst_ip="100.64.0.1", bytes_=10),
+        ]
+        batched, per_flow = FlowDNS(), FlowDNS()
+        batched.add_dns_many(dns)
+        per_flow.add_dns_many(dns)
+        results = batched.correlate_many(flows)
+        assert [r.flow for r in results] == flows
+        assert all(r.flow is flow for r, flow in zip(results, flows))
+        assert [r.ts for r in results] == [flow.ts for flow in flows]
+        expected = [per_flow.correlate(flow) for flow in flows]
+        assert [r.chain for r in results] == [r.chain for r in expected]
+        assert results[-1].chain == ("svc0.example", "alias.example")
+        assert any(not r.matched for r in results)
+        assert batched.lookup_stats.matched == per_flow.lookup_stats.matched
+        assert batched.lookup_stats.bytes_matched == per_flow.lookup_stats.bytes_matched
 
     def test_service_of_uses_probe_not_flow_stats(self):
         fd = FlowDNS()

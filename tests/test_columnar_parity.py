@@ -4,7 +4,8 @@ PR 3's parity contract: for any flow population the pipeline can see,
 ``correlate_batch_columns`` over a :class:`FlowBatch` must produce the
 same chains, the same :class:`LookUpStats`, and (when materialised) the
 same records — including ``FlowRecord.extra``, which is ``compare=False``
-and therefore asserted explicitly — as ``correlate_batch`` over the
+and therefore asserted explicitly — as the record-list oracle
+(``lane_oracle.ReferenceLookUpProcessor.correlate_batch``) over the
 equivalent ``FlowRecord`` list. Randomization (hypothesis) covers
 IPv4+IPv6 pools, SOURCE/DESTINATION/BOTH directions, CNAME chains,
 invalid counters, per-flow extras, and the exact-TTL per-record
@@ -19,6 +20,8 @@ import ipaddress
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from lane_oracle import ReferenceLookUpProcessor
 
 from repro.core.config import FlowDNSConfig
 from repro.core.engine import ThreadedEngine, gated_flow_source
@@ -157,7 +160,7 @@ def test_correlate_batch_columns_matches_reference(rows, direction, exact_ttl):
     ref_storage = _filled_storage(config)
     col_storage = _filled_storage(config)
 
-    reference = LookUpProcessor(ref_storage, config)
+    reference = ReferenceLookUpProcessor(ref_storage, config)
     results = reference.correlate_batch([_record_from_row(r) for r in rows])
 
     columnar = LookUpProcessor(col_storage, config)

@@ -78,12 +78,12 @@ class TestFillUpProcess:
         assert stored is False
         assert fillup.stats.records_skipped == 1
 
-    def test_process_many(self, fillup):
+    def test_process_batch_returns_stored_count(self, fillup):
         records = [
             DnsRecord(0.0, f"a{i}.example", RRType.A, 60, f"10.0.0.{i + 1}")
             for i in range(5)
         ]
-        assert fillup.process_many(records) == 5
+        assert fillup.process_batch(records) == 5
 
 
 class TestLookUp:

@@ -1,4 +1,4 @@
-"""Differential tests: the columnar DNS fill path vs the object reference.
+"""Differential tests: the columnar DNS fill path vs the record oracle.
 
 PR 9's parity contract: for any payload sequence,
 :func:`repro.dns.columnar.decode_fill_columns` →
@@ -13,24 +13,32 @@ size), populated authority/additional sections, error rcodes, query
 messages, truncation slices and single-byte corruption.
 
 Storage snapshots are compared minus ``saved_at`` — the only field of a
-dump that is wall-clock, not state. Engine-level legs pin every engine
-(threaded, sharded with its flat-column DNS IPC, async) to identical
-output rows and reports with ``dns_fill_columnar`` on vs off.
+dump that is wall-clock, not state. The lane legs compare ``FillLane``
+against ``lane_oracle.reference_fill`` (the FillUp filter, then record
+storage). Engine-level legs pin every engine (threaded, sharded with its
+flat-column DNS IPC, async) to the output rows and report counters of a
+reference run through the ``FlowDNS`` facade's per-message
+``add_dns_message`` and per-flow ``correlate``.
 """
 
 import io
 import json
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lane_oracle import reference_fill
+
 from repro.core.config import FlowDNSConfig
 from repro.core.engine import ThreadedEngine, gated_flow_source
 from repro.core.fillup import FillUpProcessor
+from repro.core.flowdns import FlowDNS
 from repro.core.pipeline import FillLane
 from repro.core.sharded import ShardedEngine
 from repro.core.async_engine import AsyncEngine
 from repro.core.storage_adapter import DnsStorage
+from repro.core.writer import format_result
 from repro.dns.columnar import DnsBatch, decode_fill_columns
 from repro.dns.rr import RClass, RRType, ResourceRecord
 from repro.dns.stream import DnsRecord
@@ -199,8 +207,10 @@ def test_fill_lane_differential(payloads, scalar_ts):
     for columnar in (False, True):
         storage = DnsStorage(FlowDNSConfig())
         processor = FillUpProcessor(storage)
-        lane = FillLane(processor, storage, exact_ttl=False, columnar=columnar)
-        lane.process_items(list(items))
+        if columnar:
+            FillLane(processor, storage, exact_ttl=False).process_items(list(items))
+        else:
+            reference_fill(processor, list(items))
         results[columnar] = (processor.stats, _dump_without_clock(storage))
 
     assert results[True][0] == results[False][0]
@@ -221,17 +231,30 @@ def _exact_ttl_corpus():
 
 
 def test_exact_ttl_forces_reference_path():
-    """A.8 exact-TTL semantics must not be amortised: the lane disables
-    columnar batching and per-record store+tick cadence is preserved."""
+    """A.8 exact-TTL semantics must not be amortised: over wire payloads
+    the lane stores and sweeps one record at a time, matching the
+    per-record oracle (``filter_message`` → ``process`` + ``tick``)."""
     corpus = _exact_ttl_corpus()
     results = {}
     for columnar in (False, True):
         config = FlowDNSConfig(exact_ttl=True)
         storage = DnsStorage(config)
         processor = FillUpProcessor(storage)
-        lane = FillLane(processor, storage, exact_ttl=True, columnar=columnar)
-        assert lane.columnar is False  # exact_ttl always wins
-        lane.process_items(list(corpus))
+        ticks = []
+        tick = storage.tick
+
+        def counting_tick(ts, tick=tick, ticks=ticks):
+            ticks.append(ts)
+            return tick(ts)
+
+        storage.tick = counting_tick
+        if columnar:
+            FillLane(processor, storage, exact_ttl=True).process_items(list(corpus))
+        else:
+            reference_fill(processor, list(corpus), exact_ttl=True)
+        # One sweep check per stored record, at that record's timestamp.
+        assert processor.stats.records_stored == len(corpus)
+        assert ticks == [float(i) for i in range(len(corpus))]
         # Exact-TTL storages are not snapshot-able (entries expire by
         # wall time), so parity is probed through lookups at several
         # clock positions around the TTL edges instead of via dumps.
@@ -245,8 +268,9 @@ def test_exact_ttl_forces_reference_path():
 
 
 # ---------------------------------------------------------------------------
-# Engine-level differential: every engine, columnar fill lane on vs off,
-# identical correlation rows and report counters.
+# Engine-level differential: every engine against a per-message,
+# per-flow reference run through the FlowDNS facade — identical
+# correlation rows and report counters.
 # ---------------------------------------------------------------------------
 
 def _golden_dns_wires():
@@ -301,8 +325,28 @@ def _rows(sink: io.StringIO):
     )
 
 
-def _run_one(engine_name: str, columnar: bool):
-    config = FlowDNSConfig(dns_fill_columnar=columnar)
+def _run_reference():
+    """The golden corpus one message and one flow at a time."""
+    fd = FlowDNS(FlowDNSConfig())
+    for ts, wire in _golden_dns_wires():
+        fd.add_dns_message(ts, wire)
+    results = [fd.correlate(flow) for flow in _golden_flows()]
+    sink = io.StringIO("".join(format_result(r) for r in results))
+    dns, flows = fd.fillup_stats, fd.lookup_stats
+    report = SimpleNamespace(
+        dns_records=dns.records_in,
+        dns_invalid=dns.invalid,
+        flow_records=flows.flows_in,
+        matched_flows=flows.matched,
+        total_bytes=flows.bytes_in,
+        correlated_bytes=flows.bytes_matched,
+        chain_lengths=flows.chain_lengths,
+    )
+    return report, _rows(sink)
+
+
+def _run_one(engine_name: str):
+    config = FlowDNSConfig()
     dns = _golden_dns_wires()
     flows = _golden_flows()
     sink = io.StringIO()
@@ -330,9 +374,10 @@ COMPARABLE_FIELDS = (
 
 
 def test_engines_agree_columnar_vs_reference():
+    ref_report, ref_rows = _run_reference()
+    assert ref_report.dns_invalid == 3  # truncated, query, garbage
     for engine_name in ("threaded", "sharded", "async"):
-        ref_report, ref_rows = _run_one(engine_name, columnar=False)
-        col_report, col_rows = _run_one(engine_name, columnar=True)
+        col_report, col_rows = _run_one(engine_name)
         assert ref_rows, f"{engine_name}: golden corpus produced no rows"
         assert col_rows == ref_rows, (
             f"{engine_name}: columnar fill lane changed the output rows"

@@ -128,10 +128,10 @@ class TestReportAssembly:
             fillup = FillUpProcessor(storage)
             lookup = LookUpProcessor(storage, config)
             fillup.process(_a(1.0, f"s{offset}.example", f"10.0.0.{offset + 1}"))
-            lookup.correlate_batch([
+            lookup.correlate_batch_columns(FlowBatch.from_records([
                 FlowRecord(ts=2.0, src_ip=f"10.0.0.{offset + 1}",
                            dst_ip="100.64.0.1", bytes_=100),
-            ])
+            ]))
             summaries.append(stack_summary([fillup], [lookup], storage, shard_id=offset))
         report = merge_summaries(summaries, variant_name="x")
         assert report.flow_records == 2
@@ -204,10 +204,10 @@ class TestReportAssembly:
         fillup = FillUpProcessor(storage)
         lookup = LookUpProcessor(storage, config)
         fillup.process(_a(1.0, "live.example", "10.0.0.1"))
-        lookup.correlate_batch([
+        lookup.correlate_batch_columns(FlowBatch.from_records([
             FlowRecord(ts=2.0, src_ip="10.0.0.1", dst_ip="100.64.0.1",
                        bytes_=100),
-        ])
+        ]))
         live = stack_summary([fillup], [lookup], storage, shard_id=0)
         report = merge_summaries(
             [live, empty_summary(1, "boom")], variant_name="sharded"
